@@ -3,8 +3,16 @@
 // thread creation — the mechanism behind "low-latency minimal overhead
 // synchronization" (Section 3.2) and FFTW 3.1's missing thread pooling.
 //
+// Two rows measure the parking barrier's idle behaviour: the cost of a
+// dispatch to a team that has been idle past SpinBarrier::kSpinWindow
+// (its workers are parked and must be woken), and the CPU a sleeping
+// p=4 team burns (process CPU-seconds per wall-second).
+//
 // Note: on a single-core host the absolute numbers are inflated by
 // preemption, but the ordering (spin < condvar << spawn) is robust.
+#include <time.h>
+
+#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -45,6 +53,38 @@ double pool_dispatch_us(int threads, int iters) {
   return w.micros() / iters;
 }
 
+double idle_dispatch_us(int threads, int iters) {
+  threading::ThreadPool pool(threads);
+  volatile int sink = 0;
+  double total_us = 0.0;
+  for (int i = 0; i < iters; ++i) {
+    std::this_thread::sleep_for(threading::SpinBarrier::kSpinWindow +
+                                std::chrono::milliseconds(50));
+    util::Stopwatch w;
+    pool.run([&](int) { sink = sink + 1; });
+    total_us += w.micros();
+  }
+  return total_us / iters;
+}
+
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+double idle_cpu_cores(int threads) {
+  threading::ThreadPool pool(threads);
+  pool.run([](int) {});
+  std::this_thread::sleep_for(threading::SpinBarrier::kSpinWindow +
+                              std::chrono::milliseconds(50));
+  const double cpu0 = process_cpu_seconds();
+  util::Stopwatch w;
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  return (process_cpu_seconds() - cpu0) / (w.micros() * 1e-6);
+}
+
 double spawn_dispatch_us(int threads, int iters) {
   volatile int sink = 0;
   util::Stopwatch w;
@@ -65,24 +105,29 @@ int main(int argc, char** argv) {
   const int iters = static_cast<int>(args.get_int("iters", 2000));
 
   std::printf("# Ablation A2: synchronization microbenchmarks (host)\n");
-  std::printf("primitive,threads,us_per_op\n");
+  std::printf("primitive,threads,value,unit\n");
   for (int threads : {2, 4}) {
-    std::printf("spin-barrier,%d,%.3f\n", threads,
+    std::printf("spin-barrier,%d,%.3f,us\n", threads,
                 barrier_roundtrip_us<threading::SpinBarrier>(threads,
                                                              iters));
-    std::printf("condvar-barrier,%d,%.3f\n", threads,
+    std::printf("condvar-barrier,%d,%.3f,us\n", threads,
                 barrier_roundtrip_us<threading::CondVarBarrier>(threads,
                                                                 iters));
-    std::printf("pool-dispatch,%d,%.3f\n", threads,
+    std::printf("pool-dispatch,%d,%.3f,us\n", threads,
                 pool_dispatch_us(threads, iters));
-    std::printf("thread-spawn,%d,%.3f\n", threads,
+    std::printf("pool-dispatch-after-idle,%d,%.3f,us\n", threads,
+                idle_dispatch_us(threads, std::max(iters / 200, 5)));
+    std::printf("thread-spawn,%d,%.3f,us\n", threads,
                 spawn_dispatch_us(threads, std::max(iters / 20, 10)));
   }
+  std::printf("idle-pool-cpu,4,%.4f,cores\n", idle_cpu_cores(4));
   std::printf("\n# Expected: pool-dispatch several times cheaper than\n"
               "# thread-spawn (the gap widens with real cores); that gap\n"
               "# is FFTW 3.1's per-transform threading overhead (paper,\n"
               "# Sections 2.2 and 4). On a 1-core host the spin barrier\n"
               "# degrades to yield loops, so spin vs condvar is a wash\n"
-              "# here; on real SMP hardware spin wins.\n");
+              "# here; on real SMP hardware spin wins.\n"
+              "# pool-dispatch-after-idle pays the futex wake of parked\n"
+              "# workers; idle-pool-cpu should read about 0 cores.\n");
   return 0;
 }

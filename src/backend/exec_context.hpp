@@ -24,8 +24,6 @@
 // primitive.
 #pragma once
 
-#include <memory>
-
 #include "threading/pool_registry.hpp"
 #include "threading/thread_pool.hpp"
 #include "util/aligned_vector.hpp"
@@ -53,8 +51,6 @@ class ExecContext {
   /// scratch buffers.
   void reset() {
     lease_.release();
-    stage_barrier_.reset();
-    stage_barrier_size_ = 0;
     buf_[0].clear();
     buf_[0].shrink_to_fit();
     buf_[1].clear();
@@ -86,25 +82,9 @@ class ExecContext {
     return lease_.pool();
   }
 
-  /// The team's inter-stage barrier for the fused executor: one
-  /// sense-reversing spin barrier per context, rebuilt only when the
-  /// worker-team size changes. Participant count must equal the executing
-  /// pool's size exactly — the barrier is crossed by every pool member
-  /// between consecutive stages of a fused dispatch.
-  threading::SpinBarrier& stage_barrier_for(int participants) {
-    if (!stage_barrier_ || stage_barrier_size_ != participants) {
-      stage_barrier_ =
-          std::make_unique<threading::SpinBarrier>(participants);
-      stage_barrier_size_ = participants;
-    }
-    return *stage_barrier_;
-  }
-
   util::cvec buf_[2];
   threading::PoolLease lease_;
   threading::ThreadPool* borrowed_pool_ = nullptr;
-  std::unique_ptr<threading::SpinBarrier> stage_barrier_;
-  int stage_barrier_size_ = 0;
 };
 
 }  // namespace spiral::backend

@@ -179,7 +179,7 @@ void Program::execute_fused(ExecContext& ctx, const cplx* x, cplx* y,
                             threading::ThreadPool* pool) const {
   const auto& st = list_.stages;
   const int workers = pool->size();
-  threading::SpinBarrier& barrier = ctx.stage_barrier_for(workers);
+  threading::SpinBarrier& barrier = pool->barrier();
   const cplx* first_src = x;
   if (x == y && st.size() == 1) {
     // Single-stage in-place: stage maps may collide; stage through a copy.
@@ -191,8 +191,8 @@ void Program::execute_fused(ExecContext& ctx, const cplx* x, cplx* y,
   // One fork for the whole program: every participant walks the stage
   // list with thread-local src/dst ping-pong pointers (the walk is
   // deterministic, so all workers agree without sharing state) and
-  // crosses the context's spin barrier once per stage transition. The
-  // pool's own dispatch/completion barriers bracket the walk, so the
+  // crosses the team's barrier once per stage transition. The same
+  // barrier's dispatch and completion crossings bracket the walk, so the
   // caller observes full fork/join semantics for the program while each
   // interior stage boundary costs a single barrier crossing instead of a
   // fork/join pair.

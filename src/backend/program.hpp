@@ -150,7 +150,7 @@ class Program {
     return &simd_plans_[k];
   }
   /// Fused dispatch: one pool fork for the whole stage list; workers
-  /// synchronize between stages on the context's spin barrier and keep
+  /// synchronize between stages on the team's own barrier and keep
   /// the ping-pong buffer pointers thread-local.
   void execute_fused(ExecContext& ctx, const cplx* x, cplx* y,
                      threading::ThreadPool* pool) const;

@@ -84,9 +84,11 @@ Ticket BatchExecutor::enqueue(idx_t n, const cplx* x, cplx* y,
         throw std::runtime_error("BatchExecutor: submit after shutdown");
       }
     }
+    // Counted before the batcher can see the request, so completed +
+    // failed never exceeds submitted.
+    submitted_.fetch_add(1, std::memory_order_relaxed);
     queue_.push_back(s);
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
   queue_work_.notify_one();
   return Ticket{std::move(s)};
 }
@@ -139,7 +141,11 @@ void BatchExecutor::drain() {
 
 void BatchExecutor::complete(const StatePtr& s, int phase) {
   s->completed = std::chrono::steady_clock::now();
-  s->phase.store(phase, std::memory_order_release);
+  // seq_cst, not release: libstdc++'s notify_all() skips the futex wake
+  // when its waiter count reads zero, and a release store may become
+  // visible only after that read, stranding a waiter that has just
+  // registered and still sees kPending.
+  s->phase.store(phase, std::memory_order_seq_cst);
   s->phase.notify_all();
 }
 
@@ -177,16 +183,18 @@ void BatchExecutor::run_chunk(idx_t n, std::vector<StatePtr>& items,
                     sizeof(cplx) * static_cast<std::size_t>(n));
       }
     }
+    // Counters first, then the wake: a caller that saw its ticket finish
+    // must never read a stats() that lags it.
+    completed_.fetch_add(count, std::memory_order_release);
     for (std::size_t i = 0; i < count; ++i) {
       complete(items[i], RequestState::kDone);
     }
-    completed_.fetch_add(count, std::memory_order_release);
   } catch (const std::exception& e) {
+    failed_.fetch_add(count, std::memory_order_release);
     for (std::size_t i = 0; i < count; ++i) {
       items[i]->error = e.what();
       complete(items[i], RequestState::kFailed);
     }
-    failed_.fetch_add(count, std::memory_order_release);
   }
   items.erase(items.begin(),
               items.begin() + static_cast<std::ptrdiff_t>(count));
@@ -294,9 +302,12 @@ void BatchExecutor::batcher_loop() {
 
 BatchExecutor::Stats BatchExecutor::stats() const {
   Stats s;
+  // Finished counts before submitted: every request counted as finished
+  // was counted as submitted first, so the snapshot keeps
+  // completed + failed <= submitted.
+  s.completed = completed_.load(std::memory_order_acquire);
+  s.failed = failed_.load(std::memory_order_acquire);
   s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.failed = failed_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.coalesced_max = coalesced_max_.load(std::memory_order_relaxed);
   s.flushes_size = flushes_size_.load(std::memory_order_relaxed);

@@ -62,7 +62,7 @@ namespace spiral::service {
 namespace detail {
 
 /// Shared completion state of one request. The batcher publishes with
-/// phase.store(release) + notify; waiters spin briefly then block on the
+/// phase.store(seq_cst) + notify; waiters spin briefly then block on the
 /// C++20 atomic wait.
 struct RequestState {
   static constexpr int kPending = 0;
@@ -178,8 +178,9 @@ class BatchExecutor {
   /// unless ServiceOptions::cache was set).
   [[nodiscard]] core::PlanCache& cache() noexcept { return *cache_; }
 
-  /// Service counters (relaxed atomics — safe to read while submitters
-  /// and the batcher run).
+  /// Service counters (atomics — safe to read while submitters and the
+  /// batcher run). A request is counted as completed or failed before its
+  /// ticket wakes, so a stats() read after wait() never lags it.
   struct Stats {
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;

@@ -11,9 +11,7 @@ std::uint64_t ThreadPool::threads_spawned() noexcept {
 }
 
 ThreadPool::ThreadPool(int threads)
-    : threads_(threads),
-      start_barrier_(threads),
-      done_barrier_(threads) {
+    : threads_(threads), barrier_(threads) {
   util::require(threads >= 1, "ThreadPool requires at least one thread");
   workers_.reserve(static_cast<std::size_t>(threads - 1));
   for (int id = 1; id < threads; ++id) {
@@ -25,17 +23,17 @@ ThreadPool::ThreadPool(int threads)
 ThreadPool::~ThreadPool() {
   if (threads_ > 1) {
     shutdown_.store(true, std::memory_order_release);
-    start_barrier_.wait();  // release workers into the shutdown check
+    barrier_.wait();  // release workers into the shutdown check
     for (auto& w : workers_) w.join();
   }
 }
 
 void ThreadPool::worker_loop(int id) {
   for (;;) {
-    start_barrier_.wait();
+    barrier_.wait();  // dispatch
     if (shutdown_.load(std::memory_order_acquire)) return;
     (*job_)(id);
-    done_barrier_.wait();
+    barrier_.wait();  // completion
   }
 }
 
@@ -45,9 +43,9 @@ void ThreadPool::run(const std::function<void(int)>& fn) {
     return;
   }
   job_ = &fn;
-  start_barrier_.wait();  // release workers
-  fn(0);                  // caller is participant 0
-  done_barrier_.wait();   // wait for everyone
+  barrier_.wait();  // release workers
+  fn(0);            // caller is participant 0
+  barrier_.wait();  // wait for everyone
   job_ = nullptr;
 }
 

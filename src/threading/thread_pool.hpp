@@ -9,7 +9,8 @@
 //   * `p-1` workers are created once (the caller is participant 0);
 //   * run(fn) makes all p participants execute fn(task_id) and returns
 //     when every participant has finished (barrier semantics);
-//   * dispatch and completion use the sense-reversing spin barrier.
+//   * dispatch and completion cross the team's one barrier, which spins
+//     while the team is busy and parks it once it goes idle.
 #pragma once
 
 #include <atomic>
@@ -49,6 +50,11 @@ class ThreadPool {
   /// from inside a task.
   void run(const std::function<void(int)>& fn);
 
+  /// The team's barrier. Tasks of one run() may cross it to order their
+  /// phases (the fused executor's stage transitions), provided every
+  /// participant crosses it the same number of times.
+  [[nodiscard]] SpinBarrier& barrier() noexcept { return barrier_; }
+
   /// Executes fn(i) for i in [0, count), distributing iterations over the
   /// participants in contiguous chunks (the schedule rule (7) encodes).
   void parallel_for(idx_t count, const std::function<void(idx_t)>& fn);
@@ -57,8 +63,7 @@ class ThreadPool {
   void worker_loop(int id);
 
   const int threads_;
-  SpinBarrier start_barrier_;
-  SpinBarrier done_barrier_;
+  SpinBarrier barrier_;
   const std::function<void(int)>* job_ = nullptr;  // valid between barriers
   std::atomic<bool> shutdown_{false};
   std::vector<std::thread> workers_;

@@ -4,10 +4,14 @@
 // DFT_n execution), per-size binning onto distinct PlanCache entries,
 // power-of-two chunk splitting, bounded-queue backpressure, substrate
 // parity (interpreter / SIMD / JIT), shutdown draining, and the
-// concurrent-submitter stress that the TSan leg runs.
+// concurrent-submitter and blocking-wait stresses that the TSan leg
+// runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -313,6 +317,9 @@ TEST(BatchExecutorConcurrency, ConcurrentSubmittersAreRaceFree) {
     }
   });
   std::vector<double> worst(kClients, 0.0);
+  // Tickets any client has seen finish; stats() must never lag it.
+  std::atomic<std::uint64_t> seen_done{0};
+  std::atomic<int> lagging_reads{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
@@ -328,6 +335,9 @@ TEST(BatchExecutorConcurrency, ConcurrentSubmittersAreRaceFree) {
       }
       for (auto& r : mine) {
         svc.wait(r.t);
+        const std::uint64_t seen = seen_done.fetch_add(1) + 1;
+        const auto st = svc.stats();
+        if (st.completed + st.failed < seen) lagging_reads.fetch_add(1);
         worst[size_t(c)] = std::max(worst[size_t(c)], max_diff(r.y, r.want));
       }
     });
@@ -338,9 +348,65 @@ TEST(BatchExecutorConcurrency, ConcurrentSubmittersAreRaceFree) {
   for (int c = 0; c < kClients; ++c) {
     EXPECT_LE(worst[size_t(c)], fft_tolerance(128)) << "client " << c;
   }
+  EXPECT_EQ(lagging_reads.load(), 0)
+      << "stats() read after a woken ticket lagged the finished tickets";
   const auto st = svc.stats();
   EXPECT_EQ(st.submitted, std::uint64_t(kClients) * kPerClient);
   EXPECT_EQ(st.completed, st.submitted);
+  EXPECT_EQ(st.failed, 0u);
+}
+
+// Blocking wait() under sustained synchronous traffic: most calls park the
+// client on the ticket's phase word, so a completion that skips the
+// futex wake strands the client forever. A watchdog turns such a hang
+// into a failure instead of a stuck test run.
+TEST(BatchExecutorConcurrency, SyncWaitNeverLosesAWake) {
+  constexpr int kClients = 2;
+  constexpr int kPerClient = 50000;
+  constexpr idx_t kN = 64;
+  BatchExecutor svc({.threads = 2});
+  std::atomic<std::uint64_t> progress{0};
+  std::atomic<bool> done{false};
+  std::thread watchdog([&] {
+    std::uint64_t last = progress.load();
+    auto last_change = std::chrono::steady_clock::now();
+    while (!done.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      const std::uint64_t now = progress.load();
+      if (now != last) {
+        last = now;
+        last_change = std::chrono::steady_clock::now();
+      } else if (std::chrono::steady_clock::now() - last_change >
+                 std::chrono::seconds(10)) {
+        std::fprintf(stderr,
+                     "SyncWaitNeverLosesAWake: no progress for 10 s after "
+                     "%llu calls; a wait() was never woken\n",
+                     static_cast<unsigned long long>(now));
+        std::_Exit(EXIT_FAILURE);
+      }
+    }
+  });
+  std::vector<int> wrong(kClients, 0);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      const Request r = make_request(kN, 0x5a5a00 + unsigned(c));
+      util::cvec y(static_cast<std::size_t>(kN));
+      for (int i = 0; i < kPerClient; ++i) {
+        svc.execute(kN, r.x.data(), y.data());
+        progress.fetch_add(1, std::memory_order_relaxed);
+        if (i % 4096 == 0 && max_diff(y, r.want) > fft_tolerance(kN)) {
+          ++wrong[size_t(c)];
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  done.store(true);
+  watchdog.join();
+  for (int c = 0; c < kClients; ++c) EXPECT_EQ(wrong[size_t(c)], 0);
+  const auto st = svc.stats();
+  EXPECT_EQ(st.completed, std::uint64_t(kClients) * kPerClient);
   EXPECT_EQ(st.failed, 0u);
 }
 
