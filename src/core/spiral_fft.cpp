@@ -14,6 +14,7 @@
 #include "search/cost.hpp"
 #include "search/search.hpp"
 #include "spl/printer.hpp"
+#include "threading/barrier.hpp"
 
 namespace spiral::core {
 
@@ -314,6 +315,8 @@ std::string FftPlan::describe() const {
 
 std::unique_ptr<FftPlan> plan_dft(idx_t n, const PlannerOptions& opt,
                                   wisdom::PlanDescriptor* out_descriptor) {
+  // Teams stay awake while we plan: an execute usually follows.
+  const threading::KeepTeamsWarm warm;
   wisdom::RuleTreeMap record;
   auto plan = build_dft(
       n, opt, request_chooser(opt, out_descriptor ? &record : nullptr));
@@ -330,6 +333,7 @@ std::unique_ptr<FftPlan> plan_dft(idx_t n, const PlannerOptions& opt,
 
 std::unique_ptr<FftPlan> plan_wht(idx_t n, const PlannerOptions& opt,
                                   wisdom::PlanDescriptor* out_descriptor) {
+  const threading::KeepTeamsWarm warm;
   auto plan = build_wht(n, opt);
   if (out_descriptor != nullptr) {
     // The WHT expansion is chooser-free: the descriptor carries no trees.
@@ -345,6 +349,7 @@ std::unique_ptr<FftPlan> plan_wht(idx_t n, const PlannerOptions& opt,
 std::unique_ptr<FftPlan> plan_dft_2d(idx_t rows, idx_t cols,
                                      const PlannerOptions& opt,
                                      wisdom::PlanDescriptor* out_descriptor) {
+  const threading::KeepTeamsWarm warm;
   wisdom::RuleTreeMap record;
   auto plan = build_dft_2d(
       rows, cols, opt,
@@ -363,6 +368,7 @@ std::unique_ptr<FftPlan> plan_dft_2d(idx_t rows, idx_t cols,
 std::unique_ptr<FftPlan> plan_batch_dft(idx_t n, idx_t batch,
                                         const PlannerOptions& opt,
                                         wisdom::PlanDescriptor* out_descriptor) {
+  const threading::KeepTeamsWarm warm;
   wisdom::RuleTreeMap record;
   auto plan = build_batch_dft(
       n, batch, opt, request_chooser(opt, out_descriptor ? &record : nullptr));
@@ -379,6 +385,7 @@ std::unique_ptr<FftPlan> plan_batch_dft(idx_t n, idx_t batch,
 
 std::unique_ptr<FftPlan> plan_from_descriptor(const wisdom::PlanDescriptor& d,
                                               const PlannerOptions& base) {
+  const threading::KeepTeamsWarm warm;
   d.validate();
   PlannerOptions opt = base;
   opt.threads = d.threads;
